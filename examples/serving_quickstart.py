@@ -3,9 +3,9 @@
 Trains a small ComplEx model on the Freebase-flavoured synthetic dataset
 and then answers the three serving-side questions a knowledge-base
 product asks — "which tails?", "which heads?", "which relations?" —
-through :class:`repro.serving.LinkPredictor`: batched scoring, the
-relation-folded einsum fast path, filtered-candidate masking, and the
-LRU score cache.  Runs in well under a minute:
+through :class:`repro.serving.LinkPredictor`: batched scoring through
+the model's compiled Eq. 8 kernel (the operator evaluation ranks with),
+filtered-candidate masking, and the LRU score cache.  Runs in well under a minute:
 
     python examples/serving_quickstart.py
 """
@@ -37,9 +37,10 @@ def main() -> None:
     )
     Trainer(dataset, TrainingConfig(epochs=60, batch_size=512, seed=0, verbose=False)).train(model)
 
-    # 3. A predictor over the trained model.  folded="auto" pre-contracts
-    #    ω with every relation embedding once; the LRU cache re-serves hot
-    #    (entity, relation) sweeps without recomputing them.
+    # 3. A predictor over the trained model.  It scores with the model's
+    #    own methods, so served scores equal model.score_all_tails bit for
+    #    bit; the LRU cache re-serves hot (entity, relation) sweeps
+    #    without recomputing them.
     predictor = LinkPredictor(model, dataset, cache_size=1024)
 
     # 4. Tail prediction for the first few test triples, filtered so that

@@ -46,6 +46,12 @@ fi
 echo "== benchmark smoke tests =="
 python -m pytest -q "${SMOKE_TESTS[@]}"
 
+# The repository benchmark (perfbench/, driven by BENCHMARK.json) wraps
+# BatchedScorer/LinkPredictor methods by name: an API change that breaks
+# it must fail here, not on the next benchmark run.
+echo "== perfbench smoke check =="
+python -m pytest -q perfbench/smoke_check.py
+
 # End-to-end daemon smoke: train a tiny run, start `repro serve` as a
 # real subprocess, drive concurrent wire requests, shut down cleanly.
 echo "== serving daemon smoke =="

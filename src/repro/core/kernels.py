@@ -182,9 +182,12 @@ class OmegaKernel:
     def fold_relations(self, relation_table: np.ndarray) -> np.ndarray:
         """Per-relation mixing tensor ``W[r, i, j, d] = Σ_k ω_ijk r^(k)_d``.
 
-        Serving folds ω into this once per parameter version (see
-        :mod:`repro.serving.folded`); the sparse kernel builds it from
-        the nonzero terms only.
+        The retrieval index is the only caller: it folds one relation at
+        a time into candidate vectors
+        (:func:`repro.index.folded_vectors.fold_candidate_matrix`).
+        Serving and evaluation never build ``W_r``; they score through
+        the kernel's ``combine_*`` programs.  The sparse kernel builds it
+        from the nonzero terms only.
         """
         return cached_einsum("ijk,rkd->rijd", self.omega, relation_table)
 

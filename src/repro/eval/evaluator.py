@@ -13,8 +13,8 @@ materialises more than one ``(batch_size, num_entities)`` score matrix.
 Ranking compares candidates *within* a row, where chunk boundaries
 cannot reorder scores or break exact ties, so metrics are bit-identical
 for any ``batch_size`` (the chunking regression test pins this down for
-sizes 1, 7 and full-batch).  Folding is left off so the evaluator runs
-the models' own einsum order unchanged.
+sizes 1, 7 and full-batch).  The scorer calls the models' own scoring
+methods, so evaluation ranks the very scores serving returns.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def compute_side_ranks(
     sharded evaluation workers (:mod:`repro.parallel.sharded_eval`) run
     the *exact* same per-chunk computation on their triple shards.
     """
-    scorer = BatchedScorer(model, folded=False, chunk_size=batch_size)
+    scorer = BatchedScorer(model, chunk_size=batch_size)
     anchors, relations, true_indices, lookup = side_queries(triples, filter_index, side)
     ranks: list[np.ndarray] = []
     for start, stop, scores in scorer.iter_all_scores(anchors, relations, side):

@@ -45,7 +45,6 @@ _LAZY_EXPORTS = {
     "read_index_meta": "repro.index.base",
     "FoldedCandidateSource": "repro.index.folded_vectors",
     "fold_candidate_matrix": "repro.index.folded_vectors",
-    "fold_candidate_rows": "repro.index.folded_vectors",
     "IVFIndex": "repro.index.ivf",
     "IndexUpdateReport": "repro.index.ivf",
     "deterministic_kmeans": "repro.index.ivf",

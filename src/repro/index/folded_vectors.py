@@ -8,9 +8,10 @@ a plain inner product between a *raw* anchor embedding and a per-relation
                = ⟨ flat(h),  tail_fold_r(e) ⟩      with
     tail_fold_r(e)[i,d] = Σ_j W_r[i,j,d] · e[j,d]
 
-where ``W_r`` is the relation-folded mixing tensor serving already
-maintains (:mod:`repro.serving.folded`, built from the compiled kernel's
-nonzero ω terms).  The head side folds the other entity axis.
+where ``W_r[i,j,d] = Σ_k ω_ijk · r^(k)_d`` is the relation-folded
+mixing tensor (:meth:`~repro.core.kernels.OmegaKernel.fold_relations`,
+built from the compiled kernel's nonzero ω terms).  The head side folds
+the other entity axis.
 
 This is the geometry an approximate index has to partition: maximum
 inner product between the untouched anchor vector and relation-specific
@@ -73,13 +74,20 @@ def fold_store_key(relation: int, side: str) -> str:
 
 
 def fold_candidate_matrix(
-    model: MultiEmbeddingModel, relation: int, side: str = "tail"
+    model: MultiEmbeddingModel,
+    relation: int,
+    side: str = "tail",
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """The ``(num_entities, n_e·D)`` folded candidate matrix of one relation.
 
     Row ``e`` satisfies ``S(anchor, e, r) == ⟨anchor_flat, row_e⟩`` (up
     to float re-association) for ``side="tail"`` queries, and
-    symmetrically for ``side="head"``.
+    symmetrically for ``side="head"``.  With *rows*, only those entity
+    rows are folded — the incremental-maintenance path: the fold
+    contracts per entity row, so the result is bit-identical to slicing
+    *rows* out of the full matrix at ``O(len(rows))`` instead of
+    ``O(N)`` cost.
     """
     if not isinstance(model, MultiEmbeddingModel):
         raise ServingError(
@@ -97,40 +105,12 @@ def fold_candidate_matrix(
         model.relation_embeddings[relation : relation + 1]
     )[0]
     entities = model.entity_embeddings
+    if rows is not None:
+        entities = entities[np.asarray(rows, dtype=np.int64)]
     spec = "ijd,ejd->eid" if side == "tail" else "ijd,eid->ejd"
     folded = np.einsum(spec, mixing, entities, optimize=True)
-    return folded.reshape(model.num_entities, -1)
-
-
-def fold_candidate_rows(
-    model: MultiEmbeddingModel, relation: int, side: str, rows: np.ndarray
-) -> np.ndarray:
-    """Folded candidate vectors of selected entity *rows* only.
-
-    The incremental-maintenance analogue of
-    :func:`fold_candidate_matrix`: the fold contracts per entity row, so
-    folding a subset is bit-identical to slicing those rows out of the
-    full matrix — at ``O(len(rows))`` instead of ``O(N)`` cost.
-    """
-    if not isinstance(model, MultiEmbeddingModel):
-        raise ServingError(
-            "folded candidate matrices require a MultiEmbeddingModel; got "
-            f"{type(model).__name__}"
-        )
-    if side not in CANDIDATE_SIDES:
-        raise ServingError(f"unknown side {side!r}; known: {CANDIDATE_SIDES}")
-    if not 0 <= relation < model.num_relations:
-        raise ServingError(
-            f"relation id {relation} out of range [0, {model.num_relations})"
-        )
-    rows = np.asarray(rows, dtype=np.int64)
-    mixing = model.kernel.fold_relations(
-        model.relation_embeddings[relation : relation + 1]
-    )[0]
-    entities = model.entity_embeddings[rows]
-    spec = "ijd,ejd->eid" if side == "tail" else "ijd,eid->ejd"
-    folded = np.einsum(spec, mixing, entities, optimize=True)
-    return folded.reshape(len(rows), -1)
+    # Explicit width: ``-1`` cannot be inferred for an empty row subset.
+    return folded.reshape(len(entities), folded.shape[1] * folded.shape[2])
 
 
 class FoldedCandidateSource:

@@ -54,7 +54,7 @@ from repro.index.base import (
 from repro.index.folded_vectors import (
     FoldCacheStats,
     FoldedCandidateSource,
-    fold_candidate_rows,
+    fold_candidate_matrix,
 )
 from repro.index.pq import PQConfig, ProductQuantizer
 from repro.obs import registry as obs_registry
@@ -587,7 +587,7 @@ class IVFIndex(CandidateIndex):
         max_new = 0
         for key, partition in self._partitions.items():
             relation, side = key
-            folded = fold_candidate_rows(self.model, relation, side, dirty)
+            folded = fold_candidate_matrix(self.model, relation, side, dirty)
             assignments = _nearest_cells(folded, partition.centroids, self.spill)
             old_count = int(len(partition.members)) // self.spill
             existing = dirty[dirty < old_count]

@@ -217,7 +217,7 @@ def _entity_shard_counts(ctx, side: str, start: int, stop: int):
     true_scores = ctx.true_scores[side]
     side_filters = ctx.filters.get(side)
     candidates = np.arange(start, stop, dtype=np.int64)
-    scorer = BatchedScorer(ctx.model, folded=False, chunk_size=ctx.batch_size)
+    scorer = BatchedScorer(ctx.model, chunk_size=ctx.batch_size)
     better = np.zeros(len(ctx.triples), dtype=np.int64)
     ties = np.zeros(len(ctx.triples), dtype=np.int64)
     for row_start, row_stop, block in scorer.iter_candidate_scores(

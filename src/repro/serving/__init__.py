@@ -13,29 +13,28 @@ batched, cached view over any trained :class:`~repro.core.base.KGEModel`.
 
 Architecture
 ------------
-Three layers, each usable on its own:
-
-``RelationFoldedScorer`` (:mod:`repro.serving.folded`)
-    For the multi-embedding model (Eq. 8), folds the interaction tensor
-    ω into a per-relation mixing tensor ``W_r[i,j,d] = Σ_k ω_ijk r^(k)_d``
-    **once**, then scores all candidates of any query with a single
-    smaller einsum — the same shape of fast path RESCAL gets natively
-    from its per-relation matrix.  Rebuilt automatically when the model
-    trains (tracked via ``KGEModel.scoring_version``).
+Two layers, each usable on its own.  Neither re-implements scoring:
+every score comes from the model's own ``score_all_tails`` /
+``score_all_heads`` / ``score_candidates`` / ``score_triples`` — for
+the multi-embedding family (Eq. 8), the ω term program compiled once
+per ω by :mod:`repro.core.kernels`.
 
 ``BatchedScorer`` (:mod:`repro.serving.scorer`)
     Memory-bounded chunked sweeps: 1-vs-all score matrices are produced
     in row chunks derived from an element budget, so arbitrarily large
     query batches (or eval splits) stream through constant memory.  The
-    :class:`~repro.eval.evaluator.LinkPredictionEvaluator` runs on this
-    same scorer, so evaluation and serving share one code path.
+    :class:`~repro.eval.evaluator.LinkPredictionEvaluator` (serial and
+    sharded) runs on this same scorer, so evaluation and serving share
+    one code path and one scoring operator: a served score equals the
+    model's score bit for bit.
 
 ``LinkPredictor`` (:mod:`repro.serving.predictor`)
     The request-level API: one unified ``top_k(side="tail"|"head"|
     "relation")`` entry point over id batches with shared knobs (``k``,
     ``filtered``, ``exact``) — ``top_k_tails`` / ``top_k_heads`` /
     ``top_k_relations`` remain as thin delegating wrappers — plus
-    name-level ``predict`` for single queries, optional *filtered*
+    name-level ``predict`` for single queries, one range check that
+    refuses out-of-range ids with a ``ServingError``, optional *filtered*
     masking of already-known true triples (reusing
     :class:`~repro.kg.graph.FilterIndex`), explicit candidate sets via
     the models' ``score_candidates`` fast paths, and an
@@ -69,7 +68,6 @@ numbers behind the design.
 """
 
 from repro.serving.cache import CacheStats, LRUScoreCache
-from repro.serving.folded import RelationFoldedScorer
 from repro.serving.predictor import LinkPredictor, TopKResult
 from repro.serving.scorer import BatchedScorer
 from repro.serving.server import (
@@ -87,7 +85,6 @@ __all__ = [
     "LRUScoreCache",
     "LinkPredictor",
     "PredictionServer",
-    "RelationFoldedScorer",
     "ServedTopK",
     "TopKResult",
     "serve_forever",

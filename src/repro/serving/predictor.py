@@ -5,7 +5,11 @@
 (h, ?, r)?"*, *"which heads complete (?, t, r)?"* and *"which relations
 connect (h, t)?"* for whole batches of queries at once, with
 
-* the relation-folded einsum fast path for multi-embedding models,
+* scores from the model's own methods via the chunked
+  :class:`~repro.serving.scorer.BatchedScorer` — the operator the
+  evaluator ranks with, so they equal the model's bit for bit,
+* out-of-range ids refused with a :class:`~repro.errors.ServingError`
+  (:func:`check_query_ids`) instead of wrapping around,
 * an LRU cache of 1-vs-all score vectors keyed on
   ``(entity, relation, side)``, invalidated automatically when the
   model's parameters change,
@@ -83,6 +87,32 @@ class TopKResult:
         return labeled_rows
 
 
+def check_query_ids(model: KGEModel, side: str, anchors, others, candidates=None) -> None:
+    """Refuse query ids outside *model*'s id space with a :class:`ServingError`.
+
+    *anchors*/*others* follow :meth:`LinkPredictor.top_k`: (head,
+    relation) for ``side="tail"``, (tail, relation) for ``"head"`` and
+    (head, tail) for ``"relation"``; *candidates* are entity ids.
+    Without this check numpy indexing wraps a negative id ``-i`` around
+    to ``N - i`` and answers for that entity, and an id past the end
+    raises a raw ``IndexError`` that fails every request batched with it.
+    """
+    entity_span = ("entity", model.num_entities)
+    relation_span = ("relation", model.num_relations)
+    second = entity_span if side == "relation" else relation_span
+    checks = [(anchors, entity_span), (others, second)]
+    if candidates is not None:
+        checks.append((candidates, entity_span))
+    for ids, (kind, limit) in checks:
+        ids = np.asarray(ids, dtype=np.int64)
+        # Viewed as uint64 a negative id is >= 2**63, so one max() per
+        # array bounds both ends (this runs on every served query).
+        unsigned = ids.view(np.uint64)
+        if ids.size and unsigned.max() >= limit:
+            bad = ids[unsigned >= limit].flat[0]
+            raise ServingError(f"{kind} id {int(bad)} out of range [0, {limit})")
+
+
 class LinkPredictor:
     """Batched top-k tail/head/relation prediction with caching.
 
@@ -95,9 +125,6 @@ class LinkPredictor:
         queries and the vocabularies for name-based prediction.
     filter_index:
         Explicit filter index (overrides the dataset's).
-    folded:
-        Passed to :class:`BatchedScorer`: ``"auto"`` folds ω for
-        multi-embedding models.
     cache_size:
         Capacity of the LRU score cache; ``0`` disables caching.
     chunk_size:
@@ -124,7 +151,6 @@ class LinkPredictor:
         dataset: KGDataset | None = None,
         *,
         filter_index: FilterIndex | None = None,
-        folded: bool | str = "auto",
         cache_size: int = 4096,
         chunk_size: int | None = None,
         index=None,
@@ -136,7 +162,7 @@ class LinkPredictor:
             raise ServingError("recall_sample_every must be >= 0")
         self.model = model
         self.dataset = dataset
-        self.scorer = BatchedScorer(model, folded=folded, chunk_size=chunk_size)
+        self.scorer = BatchedScorer(model, chunk_size=chunk_size)
         self._filter_index = filter_index
         self.cache = LRUScoreCache(cache_size) if cache_size else None
         self._model_version = model.scoring_version
@@ -208,7 +234,7 @@ class LinkPredictor:
         return out
 
     def clear_cache(self) -> None:
-        """Drop cached scores, folded tensors and index partitions.
+        """Drop cached scores and index partitions.
 
         Training invalidates all of them automatically via
         ``scoring_version``; this is the recovery path for in-place
@@ -217,7 +243,6 @@ class LinkPredictor:
         """
         if self.cache is not None:
             self.cache.clear()
-        self.scorer.refresh()
         if self.index is not None:
             self.index.invalidate()
         self._model_version = self.model.scoring_version
@@ -451,8 +476,6 @@ class LinkPredictor:
         candidates,
         exact: bool = False,
     ) -> TopKResult:
-        if k < 1:
-            raise ServingError("k must be >= 1")
         self._sync_version()
         anchors = np.atleast_1d(np.asarray(anchors, dtype=np.int64))
         relations = np.atleast_1d(np.asarray(relations, dtype=np.int64))
@@ -491,15 +514,14 @@ class LinkPredictor:
             raise ServingError("heads and tails must be 1-D arrays of equal length")
         num_relations = self.model.num_relations
         all_relations = np.arange(num_relations, dtype=np.int64)
-        # One vectorised (rows * R) sweep per memory-bounded row chunk:
-        # the folded backend then sees R groups of `rows` triples each
-        # instead of degenerate single-row groups.
+        # One vectorised (rows * R) score_triples call per memory-bounded
+        # row chunk instead of R single-relation calls per row.
         rows_per_chunk = max(1, self.scorer.max_chunk_elements // num_relations)
         scores = np.empty((len(heads), num_relations), dtype=np.float64)
         for start in range(0, len(heads), rows_per_chunk):
             stop = min(start + rows_per_chunk, len(heads))
             block = stop - start
-            scores[start:stop] = self.scorer.score_triples(
+            scores[start:stop] = self.model.score_triples(
                 np.repeat(heads[start:stop], num_relations),
                 np.repeat(tails[start:stop], num_relations),
                 np.tile(all_relations, block),
@@ -540,10 +562,6 @@ class LinkPredictor:
         """
         if k < 1:
             raise ServingError("k must be >= 1")
-        if side in ("tail", "head"):
-            return self._top_k_one_side(
-                anchors, others, k, side, filtered, candidates, exact=exact
-            )
         if side == "relation":
             if filtered:
                 raise ServingError(
@@ -554,9 +572,15 @@ class LinkPredictor:
                 raise ServingError(
                     "candidates are not supported for side='relation'"
                 )
+        elif side not in ("tail", "head"):
+            raise ServingError(
+                f"unknown side {side!r}; expected 'tail', 'head' or 'relation'"
+            )
+        check_query_ids(self.model, side, anchors, others, candidates)
+        if side == "relation":
             return self._top_k_relations(anchors, others, k)
-        raise ServingError(
-            f"unknown side {side!r}; expected 'tail', 'head' or 'relation'"
+        return self._top_k_one_side(
+            anchors, others, k, side, filtered, candidates, exact=exact
         )
 
     def top_k_tails(
@@ -607,6 +631,7 @@ class LinkPredictor:
         """Precompute and cache the sweeps for the given queries."""
         if self.cache is None:
             raise ServingError("warm_cache needs caching enabled (cache_size > 0)")
+        check_query_ids(self.model, side, anchors, relations)
         self._sync_version()
         anchors = np.atleast_1d(np.asarray(anchors, dtype=np.int64))
         relations = np.atleast_1d(np.asarray(relations, dtype=np.int64))

@@ -3,15 +3,15 @@
 :class:`BatchedScorer` is the one place where 1-vs-all score matrices
 are produced: the :class:`~repro.serving.predictor.LinkPredictor` uses
 it to answer top-k requests and the
-:class:`~repro.eval.evaluator.LinkPredictionEvaluator` streams its eval
-triples through it.  It adds two things on top of a raw model:
+:class:`~repro.eval.evaluator.LinkPredictionEvaluator` (serial and
+sharded) streams its eval triples through it.  It adds **chunking** on
+top of the model: a ``(b, num_entities)`` float64 score matrix for a
+big batch can dwarf RAM, so sweeps are computed in row chunks whose
+size is derived from an element budget (or fixed by the caller).
 
-* **chunking** — a ``(b, num_entities)`` float64 score matrix for a big
-  batch can dwarf RAM, so sweeps are computed in row chunks whose size
-  is derived from an element budget (or fixed by the caller);
-* **backend selection** — for the multi-embedding model it can swap in
-  the :class:`~repro.serving.folded.RelationFoldedScorer` fast path,
-  transparently refreshed when the model trains.
+Every score comes from the model's own scoring methods (for the
+multi-embedding family, the compiled Eq. 8 kernel of
+:mod:`repro.core.kernels`), so serving and evaluation agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.core.base import CANDIDATE_SIDES, KGEModel
-from repro.core.interaction import MultiEmbeddingModel
 from repro.errors import ServingError
-from repro.serving.folded import RelationFoldedScorer
 
 #: Default budget: at most this many float64 score-matrix elements live at once.
 DEFAULT_CHUNK_ELEMENTS = 1 << 24
@@ -36,14 +34,8 @@ class BatchedScorer:
     ----------
     model:
         The scorer to wrap.
-    folded:
-        ``"auto"`` (fold ω when the model is a multi-embedding one),
-        ``True`` (require folding, error otherwise) or ``False`` (always
-        call the model directly).  The folded path re-associates float
-        operations, so callers needing bit-identical parity with the
-        model's own einsum order — the evaluator — pass ``False``.
     chunk_size:
-        Fixed number of query rows per backend call, or ``None`` to
+        Fixed number of query rows per model call, or ``None`` to
         derive it from ``max_chunk_elements``.
     max_chunk_elements:
         Element budget for one ``(chunk, num_entities)`` score matrix.
@@ -52,7 +44,6 @@ class BatchedScorer:
     def __init__(
         self,
         model: KGEModel,
-        folded: bool | str = "auto",
         chunk_size: int | None = None,
         max_chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
     ) -> None:
@@ -61,32 +52,8 @@ class BatchedScorer:
         if max_chunk_elements < 1:
             raise ServingError("max_chunk_elements must be >= 1")
         self.model = model
-        if folded == "auto":
-            folded = isinstance(model, MultiEmbeddingModel)
-        self._folded_scorer = RelationFoldedScorer(model) if folded else None
         self.chunk_size = int(chunk_size) if chunk_size is not None else None
         self.max_chunk_elements = int(max_chunk_elements)
-
-    @property
-    def uses_folding(self) -> bool:
-        """Whether the relation-folded fast path is active."""
-        return self._folded_scorer is not None
-
-    def refresh(self) -> None:
-        """Force-rebuild folded tensors from the model's current weights.
-
-        Needed after in-place parameter surgery that bypasses
-        ``train_step`` (and therefore never bumps ``scoring_version``).
-        """
-        if self._folded_scorer is not None:
-            self._folded_scorer.refresh(force=True)
-
-    @property
-    def _backend(self) -> KGEModel | RelationFoldedScorer:
-        if self._folded_scorer is not None:
-            self._folded_scorer.refresh()
-            return self._folded_scorer
-        return self.model
 
     def effective_chunk_size(self) -> int:
         """Rows per chunk after applying the element budget."""
@@ -107,18 +74,9 @@ class BatchedScorer:
         metrics and top-k depend on — the evaluator's chunking regression
         test pins metrics bit-identical across chunk sizes.
         """
-        if side not in CANDIDATE_SIDES:
-            raise ServingError(f"unknown side {side!r}; known: {CANDIDATE_SIDES}")
-        anchors = np.asarray(anchors, dtype=np.int64)
-        relations = np.asarray(relations, dtype=np.int64)
-        if anchors.ndim != 1 or anchors.shape != relations.shape:
-            raise ServingError("anchors and relations must be 1-D arrays of equal length")
-        backend = self._backend
-        sweep = backend.score_all_tails if side == "tail" else backend.score_all_heads
-        chunk = self.effective_chunk_size()
-        for start in range(0, len(anchors), chunk):
-            stop = min(start + chunk, len(anchors))
-            yield start, stop, sweep(anchors[start:stop], relations[start:stop])
+        model = self.model
+        sweep = model.score_all_tails if side == "tail" else model.score_all_heads
+        yield from self._iter_chunks(anchors, relations, side, sweep)
 
     def iter_candidate_scores(
         self,
@@ -133,24 +91,30 @@ class BatchedScorer:
         query row is scored against the same ``(c,)`` candidate ids,
         chunked over query rows with the same chunk geometry.  Sharded
         evaluation workers use this to sweep one entity shard while
-        reusing the serving layer's chunking and backend selection.
+        reusing the serving layer's chunking.
         """
+        candidates = np.asarray(candidates, dtype=np.int64)
+        if candidates.ndim != 1:
+            raise ServingError("candidates must be a shared 1-D id array")
+
+        def score(anchor_chunk, relation_chunk):
+            return self.model.score_candidates(anchor_chunk, relation_chunk, candidates, side)
+
+        yield from self._iter_chunks(anchors, relations, side, score)
+
+    def _iter_chunks(self, anchors, relations, side: str, score):
+        """Validate a query batch, then yield ``(start, stop, score(rows))``
+        over row chunks of :meth:`effective_chunk_size`."""
         if side not in CANDIDATE_SIDES:
             raise ServingError(f"unknown side {side!r}; known: {CANDIDATE_SIDES}")
         anchors = np.asarray(anchors, dtype=np.int64)
         relations = np.asarray(relations, dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
         if anchors.ndim != 1 or anchors.shape != relations.shape:
             raise ServingError("anchors and relations must be 1-D arrays of equal length")
-        if candidates.ndim != 1:
-            raise ServingError("candidates must be a shared 1-D id array")
-        backend = self._backend
         chunk = self.effective_chunk_size()
         for start in range(0, len(anchors), chunk):
             stop = min(start + chunk, len(anchors))
-            yield start, stop, backend.score_candidates(
-                anchors[start:stop], relations[start:stop], candidates, side
-            )
+            yield start, stop, score(anchors[start:stop], relations[start:stop])
 
     def all_scores(self, anchors: np.ndarray, relations: np.ndarray, side: str) -> np.ndarray:
         """The full ``(b, num_entities)`` sweep, assembled from chunks."""
@@ -161,10 +125,6 @@ class BatchedScorer:
         return out
 
     # --------------------------------------------------------- point scores
-    def score_triples(self, heads, tails, relations) -> np.ndarray:
-        """Batch triple scores through the active backend."""
-        return self._backend.score_triples(heads, tails, relations)
-
     def score_candidates(self, anchors, relations, candidates, side="tail") -> np.ndarray:
-        """Candidate-set scores through the active backend."""
-        return self._backend.score_candidates(anchors, relations, candidates, side)
+        """Candidate-set scores from the model."""
+        return self.model.score_candidates(anchors, relations, candidates, side)

@@ -1,6 +1,6 @@
 """Micro-batched asyncio serving daemon over :class:`LinkPredictor`.
 
-The library's serving layer already amortises the folded matmul across
+The library's serving layer already amortises each scoring sweep across
 *batched* calls — but production traffic arrives as many small
 concurrent requests, not as pre-assembled batches.  This module closes
 that gap with a stdlib-only asyncio service:
@@ -19,9 +19,12 @@ that gap with a stdlib-only asyncio service:
 
     *Admission control*: when the queue is at ``queue_depth`` the
     request fast-fails with :class:`~repro.errors.ServerOverloadedError`
-    and a ``retry_after_ms`` hint (clamped to a sane floor/ceiling even
-    when the service-time EMA has been polluted by a pathological
-    batch), instead of queueing unboundedly.
+    and a ``retry_after_ms`` hint (priced off the p90 per-request
+    service time, clamped to a sane floor/ceiling even after a
+    pathological batch), instead of queueing unboundedly.  A request
+    whose ids fall outside the deployed model's id space is refused at
+    admission with a ``bad_request`` :class:`~repro.errors.ServingError`,
+    so it never fails the micro-batch group it would have joined.
 
     *Deadlines*: each request may carry a ``deadline_ms`` budget (or
     inherit the server's ``default_deadline_ms``); a request still
@@ -113,18 +116,18 @@ from repro.obs.expo import prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import current_span_id, trace_scope
 from repro.reliability import faults
-from repro.serving.predictor import LinkPredictor
+from repro.serving.predictor import LinkPredictor, check_query_ids
 
 _LOG = logging.getLogger("repro.serving")
 
 #: Fault-injection site fired once per micro-batch group dispatch.
 DISPATCH_SITE = "server.dispatch"
 
-#: Clamp bounds for the per-request service-time EMA (seconds).  A
+#: Clamp bounds for one per-request service-time sample (seconds).  A
 #: single pathological batch (GC pause, page-in, injected slow fault)
 #: would otherwise poison the retry-after hint for many requests.
-SERVICE_EMA_FLOOR_S = 1e-4
-SERVICE_EMA_CEILING_S = 5.0
+SERVICE_SAMPLE_FLOOR_S = 1e-4
+SERVICE_SAMPLE_CEILING_S = 5.0
 
 #: Clamp bounds for the overload hint itself (milliseconds).
 RETRY_AFTER_FLOOR_MS = 1.0
@@ -373,8 +376,6 @@ class PredictionServer:
         self._closed = False
         self._generation = 0
         self._active: Deployment | None = None
-        #: EMA of per-request service seconds; feeds the retry-after hint.
-        self._service_ema: float | None = None
         #: Sticky until the next successful swap: the server answered at
         #: least one request (or came up) without its index.
         self._degraded = False
@@ -564,12 +565,11 @@ class PredictionServer:
             self._degraded = bool(degraded)
             # A new deployment has a new latency profile.  Carrying the
             # old model's service times across the swap mis-prices the
-            # retry-after hint for every overloaded client until the EMA
-            # drifts back — e.g. swapping an exact-sweep deployment for
-            # an indexed one kept quoting sweep-sized backoffs.  Reset
-            # both the EMA and the service-time histogram so the hint is
-            # rebuilt from post-swap measurements only.
-            self._service_ema = None
+            # retry-after hint for every overloaded client — e.g.
+            # swapping an exact-sweep deployment for an indexed one kept
+            # quoting sweep-sized backoffs.  Reset the service-time
+            # histogram so the hint is rebuilt from post-swap
+            # measurements only.
             self.metrics.reset("server.service_seconds")
             self.metrics.gauge_set("server.generation", self._generation)
             return self._active
@@ -732,6 +732,9 @@ class PredictionServer:
             raise ServerClosedError("server is shutting down; request refused")
         if self._active is None:
             raise ServingError("no model deployed; call load_run/swap_predictor first")
+        # Refuse bad ids alone, here, rather than fail the whole
+        # micro-batch group they would be coalesced into.
+        check_query_ids(self._active.predictor.model, side, first, second)
         if len(self._pending) >= self.queue_depth:
             self.stats.rejected += 1
             raise ServerOverloadedError(
@@ -757,31 +760,25 @@ class PredictionServer:
         return request.future
 
     def _observe_service_time(self, per_request: float) -> None:
-        """Fold one per-request service measurement into the EMA.
+        """Record one per-request service measurement for the retry hint.
 
-        The sample is clamped to ``[SERVICE_EMA_FLOOR_S,
-        SERVICE_EMA_CEILING_S]`` first: one pathological measurement
+        The sample is clamped to ``[SERVICE_SAMPLE_FLOOR_S,
+        SERVICE_SAMPLE_CEILING_S]`` first: one pathological measurement
         (page-in, GC pause, injected slow fault) must not balloon the
         retry-after hint handed to every rejected client afterwards, and
         a sub-microsecond fluke must not collapse it to nothing.
         """
-        sample = min(max(per_request, SERVICE_EMA_FLOOR_S), SERVICE_EMA_CEILING_S)
+        sample = min(max(per_request, SERVICE_SAMPLE_FLOOR_S), SERVICE_SAMPLE_CEILING_S)
         self.metrics.observe("server.service_seconds", sample)
-        self._service_ema = (
-            sample
-            if self._service_ema is None
-            else 0.8 * self._service_ema + 0.2 * sample
-        )
 
     def _retry_after_ms(self) -> float:
-        # Prefer the p90 of the (generation-scoped) service-time
-        # histogram: unlike the EMA it is robust to a recent burst of
-        # fast or slow outliers and prices the hint off what a typical
-        # slow request actually costs.  Falls back to the EMA, then to a
-        # 50ms guess, while no measurements exist yet.
+        # The p90 of the (generation-scoped) service-time histogram is
+        # robust to a recent burst of fast or slow outliers and prices
+        # the hint off what a typical slow request actually costs.  Falls
+        # back to a 50ms guess while no measurements exist yet.
         service = self.metrics.quantile("server.service_seconds", 0.9)
         if service is None:
-            service = self._service_ema if self._service_ema is not None else 0.05
+            service = 0.05
         backlog = len(self._pending) * service / max(1, self.max_batch)
         hint = 1000.0 * backlog + self.max_wait_ms
         return min(max(hint, RETRY_AFTER_FLOOR_MS), RETRY_AFTER_CEILING_MS)
@@ -1024,6 +1021,8 @@ _ERROR_CODES = {
     DeadlineExceededError: "deadline",
     StaleIndexError: "stale_index",
     CorruptArtifactError: "corrupt_artifact",
+    # Last, so the ServingError subclasses above keep their own codes.
+    ServingError: "bad_request",
 }
 
 

@@ -56,6 +56,21 @@ class TestScoringIdentity:
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
+class TestRowSubset:
+    @pytest.mark.parametrize("side", ["tail", "head"])
+    def test_rows_bit_identical_to_full_matrix_slice(self, model, side):
+        """``rows=`` (index maintenance) folds exactly the full matrix's rows."""
+        rows = np.array([41, 0, 7, 7, 59, 23], dtype=np.int64)
+        for relation in range(model.num_relations):
+            full = fold_candidate_matrix(model, relation, side)
+            subset = fold_candidate_matrix(model, relation, side, rows=rows)
+            np.testing.assert_array_equal(subset, full[rows])
+
+    def test_empty_rows(self, model):
+        subset = fold_candidate_matrix(model, 0, "tail", rows=np.empty(0, dtype=np.int64))
+        assert subset.shape == (0, fold_candidate_matrix(model, 0, "tail").shape[1])
+
+
 class TestValidation:
     def test_rejects_bad_relation(self, model):
         with pytest.raises(ServingError):

@@ -36,8 +36,8 @@ from repro.serving import LinkPredictor, PredictionServer
 from repro.serving.server import (
     RETRY_AFTER_CEILING_MS,
     RETRY_AFTER_FLOOR_MS,
-    SERVICE_EMA_CEILING_S,
-    SERVICE_EMA_FLOOR_S,
+    SERVICE_SAMPLE_CEILING_S,
+    SERVICE_SAMPLE_FLOOR_S,
     start_tcp_server,
 )
 
@@ -70,40 +70,47 @@ def _slow_dispatch(delay_s: float, max_hits: int = 1) -> FaultInjector:
     )
 
 
+def _service_max(server) -> float:
+    """Largest service-time sample the server recorded (after clamping)."""
+    return server.metrics.snapshot().histograms["server.service_seconds"].max_value
+
+
 class TestRetryAfterClamp:
-    """Satellite: the EMA + retry hint are clamped to floor/ceiling."""
+    """Satellite: service samples and the retry hint are clamped."""
 
     def test_pathological_sample_clamps_to_ceiling(self, model, dataset):
         server = PredictionServer(LinkPredictor(model, dataset))
         server._observe_service_time(3600.0)  # one stuck batch
-        assert server._service_ema == SERVICE_EMA_CEILING_S
+        assert _service_max(server) == SERVICE_SAMPLE_CEILING_S
 
     def test_subnormal_sample_clamps_to_floor(self, model, dataset):
         server = PredictionServer(LinkPredictor(model, dataset))
         server._observe_service_time(1e-12)
-        assert server._service_ema == SERVICE_EMA_FLOOR_S
-
-    def test_ema_blends_after_first_sample(self, model, dataset):
-        server = PredictionServer(LinkPredictor(model, dataset))
-        server._observe_service_time(0.1)
-        server._observe_service_time(0.2)
-        assert server._service_ema == pytest.approx(0.8 * 0.1 + 0.2 * 0.2)
+        assert _service_max(server) == SERVICE_SAMPLE_FLOOR_S
 
     def test_hint_ceiling(self, model, dataset):
         server = PredictionServer(LinkPredictor(model, dataset), queue_depth=4096)
-        server._service_ema = SERVICE_EMA_CEILING_S
+        server._observe_service_time(3600.0)
         server._pending = collections.deque(range(4096))
         assert server._retry_after_ms() == RETRY_AFTER_CEILING_MS
 
     def test_hint_floor(self, model, dataset):
         server = PredictionServer(LinkPredictor(model, dataset), max_wait_ms=0.0)
-        server._service_ema = SERVICE_EMA_FLOOR_S
+        server._observe_service_time(1e-12)
         assert server._retry_after_ms() == RETRY_AFTER_FLOOR_MS
+
+    def test_hint_prior_without_samples(self, model, dataset):
+        """No sample yet: the hint prices the backlog at the 50ms prior."""
+        server = PredictionServer(
+            LinkPredictor(model, dataset), max_batch=4, max_wait_ms=0.0
+        )
+        server._pending = collections.deque(range(8))
+        assert server._retry_after_ms() == pytest.approx(1000.0 * 8 * 0.05 / 4)
 
     def test_overload_error_carries_clamped_hint(self, model, dataset):
         async def main():
             server = PredictionServer(LinkPredictor(model, dataset), queue_depth=1)
-            server._service_ema = 1e9  # would be absurd without the clamp
+            server._observe_service_time(1e9)  # would be absurd without the clamp
             server._submit("tail", 0, 0, 5, False)
             with pytest.raises(ServerOverloadedError) as caught:
                 server._submit("tail", 1, 0, 5, False)

@@ -13,6 +13,10 @@ code:
 * ``LinkPredictor._full_scores`` skipped ``_sync_version()`` whenever
   ``cache_size=0``, so the predictor's ``model_version`` bookkeeping
   drifted after training.
+* ``LinkPredictor.top_k`` indexed embedding tables with raw query ids:
+  a negative entity or relation id silently wrapped around to the end
+  of the table and was answered, and an id past the end raised a bare
+  ``IndexError``.  Out-of-range ids now raise ``ServingError``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.models import make_complex
+from repro.errors import ServingError
 from repro.index.base import CandidateBatch, CandidateIndex
 from repro.kg.synthetic import SyntheticKGConfig, generate_synthetic_kg
 from repro.serving import LinkPredictor, TopKResult
@@ -195,3 +200,48 @@ class TestVersionSyncWithoutCache:
         assert predictor.model_version == model.scoring_version
         predictor.top_k_tails([0], [0], k=2)
         assert predictor.model_version == model.scoring_version
+
+
+class TestOutOfRangeIds:
+    """Every query slot and explicit candidates are range-checked."""
+
+    @pytest.mark.parametrize(
+        "anchors,others,side",
+        [
+            ([-5], [0], "tail"),  # used to answer for entity N - 5
+            ([-1], [0], "head"),
+            ([0], [-1], "tail"),  # used to answer for the last relation
+            ([-3], [0], "relation"),  # negative head wrapped too
+            ([0], [-2], "relation"),
+        ],
+    )
+    def test_negative_ids_refused(self, model, anchors, others, side):
+        with pytest.raises(ServingError, match="out of range"):
+            LinkPredictor(model).top_k(anchors, others, side=side, k=3)
+
+    @pytest.mark.parametrize("side", ["tail", "head", "relation"])
+    def test_ids_past_the_end_refused(self, model, side):
+        num_entities = model.num_entities
+        past_other = num_entities if side == "relation" else model.num_relations
+        predictor = LinkPredictor(model)
+        with pytest.raises(ServingError, match="out of range"):
+            predictor.top_k([0, num_entities], [0, 0], side=side, k=3)
+        with pytest.raises(ServingError, match="out of range"):
+            predictor.top_k([0, 1], [0, past_other], side=side, k=3)
+
+    @pytest.mark.parametrize("bad", [-1, 10_000])
+    def test_candidates_refused(self, model, bad):
+        with pytest.raises(ServingError, match="out of range"):
+            LinkPredictor(model).top_k(
+                [0], [0], side="tail", k=2, candidates=np.array([1, bad, 2])
+            )
+
+    def test_index_path_refuses_too(self, model):
+        predictor = LinkPredictor(model, index=DegeneratePartitionIndex(model))
+        with pytest.raises(ServingError, match="out of range"):
+            predictor.top_k([-1], [0], side="tail", k=2)
+
+    def test_boundary_ids_served(self, model):
+        last_entity, last_relation = model.num_entities - 1, model.num_relations - 1
+        top = LinkPredictor(model).top_k([last_entity], [last_relation], k=3)
+        assert top.ids.shape == (1, 3)

@@ -383,6 +383,82 @@ class TestLifecycle:
             PredictionServer(predictor, queue_depth=0)
 
 
+class TestOutOfRangeIds:
+    """A bad id is refused alone at admission, never failing its batch."""
+
+    def test_bad_request_refused_alone_in_coalesced_batch(self, model, dataset):
+        num_entities = dataset.num_entities
+        good = [(3, 0), (17, 1), (9, 2), (40, 0), (55, 1)]
+        bad = [
+            (num_entities, 0),  # past the end: used to fail the whole group
+            (-5, 0),  # used to answer silently for entity N - 5
+            (3, dataset.num_relations),
+        ]
+
+        async def main():
+            server = PredictionServer(
+                LinkPredictor(model, dataset), max_batch=32, max_wait_ms=50.0
+            )
+            async with server:
+                requests = [
+                    server.top_k_tails(h, r, k=4, filtered=True)
+                    for h, r in good[:2] + bad + good[2:]
+                ]
+                results = await asyncio.gather(*requests, return_exceptions=True)
+                return results, server.stats_dict()
+
+        results, stats = asyncio.run(main())
+        refused = results[2 : 2 + len(bad)]
+        served = results[:2] + results[2 + len(bad) :]
+        for error in refused:
+            assert isinstance(error, ServingError)
+            assert "out of range" in str(error)
+        direct = LinkPredictor(model, dataset).top_k_tails(
+            [h for h, _ in good], [r for _, r in good], k=k_bucket(4), filtered=True
+        )
+        for row, answer in enumerate(served):
+            assert not isinstance(answer, BaseException), answer
+            assert answer.coalesced == len(good)
+            np.testing.assert_array_equal(answer.ids, direct.ids[row, :4])
+        assert stats["served"] == len(good)
+        assert stats["failed"] == 0
+
+    def test_wire_code_is_bad_request(self, model, dataset):
+        async def main():
+            server = PredictionServer(
+                LinkPredictor(model, dataset), max_batch=16, max_wait_ms=20.0
+            )
+            tcp = await start_tcp_server(server, port=0)
+            port = tcp.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            messages = [
+                {"id": 1, "op": "top_k", "side": "tail", "head": 3, "relation": 0, "k": 3},
+                {"id": 2, "op": "top_k", "side": "tail",
+                 "head": dataset.num_entities, "relation": 0, "k": 3},
+                {"id": 3, "op": "top_k", "side": "relation", "head": -1, "tail": 2, "k": 2},
+                {"id": 4, "op": "top_k", "side": "head", "tail": 7, "relation": 1, "k": 3},
+            ]
+            writer.write(("".join(json.dumps(m) + "\n" for m in messages)).encode())
+            await writer.drain()
+            responses = {}
+            for _ in messages:
+                response = json.loads(await reader.readline())
+                responses[response["id"]] = response
+            writer.close()
+            await writer.wait_closed()
+            tcp.close()
+            await tcp.wait_closed()
+            await server.close()
+            return responses
+
+        responses = asyncio.run(main())
+        assert responses[1]["ok"] and responses[4]["ok"]
+        for bad in (2, 3):
+            assert responses[bad]["ok"] is False
+            assert responses[bad]["error"]["code"] == "bad_request"
+            assert "out of range" in responses[bad]["error"]["message"]
+
+
 class TestTCPFrontend:
     def test_round_trip_and_error_codes(self, model, dataset):
         async def main():

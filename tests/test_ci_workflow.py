@@ -68,6 +68,17 @@ def test_ci_script_supports_quick_mode():
     assert "test_bench_obs_smoke" in text
 
 
+def test_ci_script_runs_the_perfbench_smoke_check():
+    """ci.sh must run the repository benchmark's own checks right after
+    the benchmark smoke tests: the benchmark patches serving methods by
+    name, so removing one of them has to fail CI."""
+    text = CI_SCRIPT.read_text(encoding="utf-8")
+    step = "python -m pytest -q perfbench/smoke_check.py"
+    assert step in text
+    assert text.index(step) > text.index('python -m pytest -q "${SMOKE_TESTS[@]}"')
+    assert (REPO_ROOT / "perfbench" / "smoke_check.py").exists()
+
+
 def test_ci_script_runs_the_serving_daemon_smoke():
     """ci.sh must boot the daemon as a real subprocess after the suites."""
     text = CI_SCRIPT.read_text(encoding="utf-8")
